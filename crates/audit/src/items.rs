@@ -280,8 +280,11 @@ impl Parser<'_> {
         // bodyless trait method. Braces cannot occur in the signature
         // itself (const generic defaults would, but the workspace has
         // none and the failure mode is a shorter body, not a panic).
+        // Only a `;` outside brackets ends a bodyless signature: array
+        // types (`[f64; W]`) carry one inside.
         let mut j = kw + 2;
         let mut body = None;
+        let mut depth = 0i32;
         while j < self.scan.tokens.len() {
             match self.punct(j) {
                 Some('{') => {
@@ -290,9 +293,12 @@ impl Parser<'_> {
                     }
                     break;
                 }
-                Some(';') => break,
-                _ => j += 1,
+                Some('(' | '[') => depth += 1,
+                Some(')' | ']') => depth -= 1,
+                Some(';') if depth == 0 => break,
+                _ => {}
             }
+            j += 1;
         }
         FnItem { file: self.scan.path.clone(), name, owner, line, body, calls: Vec::new() }
     }
@@ -404,6 +410,21 @@ mod tests {
         assert_eq!(its.len(), 1);
         assert!(its[0].body.is_none());
         assert!(its[0].calls.is_empty());
+    }
+
+    #[test]
+    fn array_types_in_signatures_keep_the_body() {
+        // The `;` of `[T; N]` in a parameter or return type must not read
+        // as the end of a bodyless signature.
+        let src = "
+            fn lanes<const W: usize>(v: &[[f64; W]]) -> [f64; W] { helper() }
+            trait T { fn f(&self) -> [u8; 2]; }
+        ";
+        let its = items(src);
+        assert_eq!(its.len(), 2);
+        assert!(its[0].body.is_some());
+        assert_eq!(shapes(&its[0]), [Call::Free("helper".into())]);
+        assert!(its[1].body.is_none());
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! second eigenvalue λ₂ < 1 bounds the convergence rate via Eq. (23).
 
 use crate::sparse_policy::{EdgeTimes, SparsePolicy};
-use netmax_linalg::{Matrix, SparseSymmetric};
+use netmax_linalg::{Matrix, SparsePattern, SparseSymmetric};
 use netmax_net::Topology;
 
 /// Computes the per-node firing probabilities `p_i` of Eq. (3) from an
@@ -139,11 +139,13 @@ pub fn node_probabilities_sparse(
 }
 
 /// Edge-set counterpart of [`build_y`]: assembles `Y_P` (Eq. 22) as a
-/// [`SparseSymmetric`] whose pattern is the topology's edges plus the
-/// diagonal. Every stored entry is float-identical to the dense
-/// [`build_y`] output (both iterate the support in ascending column
-/// order; absent pairs are exactly zero), so the sparse λ₂ solver sees
-/// the same matrix the dense Jacobi path would.
+/// [`SparseSymmetric`] over [`y_pattern`]. Every stored entry is
+/// float-identical to the dense [`build_y`] output (both iterate the
+/// support in ascending column order; absent pairs are exactly zero), so
+/// the sparse λ₂ solver sees the same matrix the dense Jacobi path would.
+/// The policy search itself writes values over one shared [`y_pattern`]
+/// with [`y_values_sparse`]; this one-matrix form serves tests and
+/// oracles.
 ///
 /// # Panics
 /// Panics if shapes disagree.
@@ -154,16 +156,49 @@ pub fn build_y_sparse(
     alpha: f64,
     rho: f64,
 ) -> SparseSymmetric {
+    let pattern = y_pattern(topo);
+    let mut vals = Vec::with_capacity(pattern.nnz());
+    y_values_sparse(policy, topo, p_node, alpha, rho, &mut vals);
+    SparseSymmetric::new(pattern, vals)
+}
+
+/// The pattern every sparse `Y_P` over `topo` shares: each node's
+/// neighbours plus its diagonal, ascending. The policy search builds it
+/// once per round and scores all candidates over it.
+pub fn y_pattern(topo: &Topology) -> SparsePattern {
+    SparsePattern::from_rows(
+        topo.len(),
+        (0..topo.len()).map(|i| {
+            let (below, above) = topo.neighbors(i).split_at(diag_slot(topo, i));
+            below.iter().copied().chain(std::iter::once(i)).chain(above.iter().copied())
+        }),
+    )
+}
+
+/// Writes `Y_P`'s values over [`y_pattern`]`(topo)`, in its storage order,
+/// into `out` (cleared first) — the allocation-free core of
+/// [`build_y_sparse`].
+///
+/// # Panics
+/// Panics if shapes disagree.
+pub fn y_values_sparse(
+    policy: &SparsePolicy,
+    topo: &Topology,
+    p_node: &[f64],
+    alpha: f64,
+    rho: f64,
+    out: &mut Vec<f64>,
+) {
     let m = topo.len();
     assert_eq!(policy.len(), m, "policy shape mismatch");
     assert_eq!(p_node.len(), m, "p_node length mismatch");
     let ar = alpha * rho;
     let half_d = |i: usize, j: usize| (topo.d(i, j) + topo.d(j, i)) / 2.0;
 
-    let mut rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
+    out.clear();
     for i in 0..m {
         let nbrs = topo.neighbors(i);
-        let mut row: Vec<(usize, f64)> = Vec::with_capacity(nbrs.len() + 1);
+        let row_start = out.len();
         // Off-diagonals in ascending order (the dense loop's j order).
         for &j in nbrs {
             let (pij, pji) = (policy.get(i, j), policy.get(j, i));
@@ -171,7 +206,7 @@ pub fn build_y_sparse(
                 + p_node[j] * half_d(j, i) * ind(pji);
             let quad = p_node[i] * sq(half_d(i, j)) * safe_div(pij)
                 + p_node[j] * sq(half_d(j, i)) * safe_div(pji);
-            row.push((j, ar * lin - ar * ar * quad));
+            out.push(ar * lin - ar * ar * quad);
         }
         // Diagonal, accumulated over neighbours in the same ascending
         // order the dense loop uses.
@@ -182,11 +217,14 @@ pub fn build_y_sparse(
             quad += p_node[i] * sq(half_d(i, j)) * safe_div(policy.get(i, j))
                 + p_node[j] * sq(half_d(j, i)) * safe_div(policy.get(j, i));
         }
-        let at = row.partition_point(|&(j, _)| j < i);
-        row.insert(at, (i, 1.0 - 2.0 * ar * lin + ar * ar * quad));
-        rows.push(row);
+        out.insert(row_start + diag_slot(topo, i), 1.0 - 2.0 * ar * lin + ar * ar * quad);
     }
-    SparseSymmetric::from_rows(rows)
+}
+
+/// Position of node `i`'s diagonal within its pattern row: the number of
+/// neighbours below `i`.
+fn diag_slot(topo: &Topology, i: usize) -> usize {
+    topo.neighbors(i).partition_point(|&j| j < i)
 }
 
 /// Indicator that the probability is positive (a worker that never selects

@@ -14,15 +14,18 @@
 //!   equality; see the function docs for why Bland's rule makes the
 //!   per-block pivot sequences identical);
 //! * λ₂ comes from the deflated sparse power iteration of
-//!   `netmax-linalg`, whose per-iteration cost is the edge count.
+//!   `netmax-linalg`, whose per-iteration cost is the edge count; every
+//!   candidate's `Y_P` shares one pattern, so the sweep runs up to
+//!   [`netmax_linalg::MAX_LANES`] of them in lockstep lanes, with results
+//!   bit-identical to solving each alone.
 //!
 //! The dense path stays the oracle below [`DENSE_CONTROL_THRESHOLD`]
 //! nodes; nothing in the existing small-fleet world routes through this
 //! module.
 
-use crate::gossip_matrix::build_y_sparse;
+use crate::gossip_matrix::{y_pattern, y_values_sparse};
 use crate::policy::{PolicyGenerator, POLICY_MARGIN};
-use netmax_linalg::{second_largest_eigenvalue_sparse, Matrix};
+use netmax_linalg::{Matrix, SparseBatch, SparsePattern, MAX_LANES};
 use netmax_lp::{solve, LpProblem, Relation};
 use netmax_net::Topology;
 
@@ -37,10 +40,16 @@ pub const DENSE_CONTROL_THRESHOLD: usize = 64;
 /// (large diameters push λ₂ → 1), so at scale the sweep ranks candidates
 /// by a bounded-effort estimate rather than a fully converged eigenvalue —
 /// the ranking, not the tenth digit, is what the search consumes.
-const SPARSE_L2_MAX_ITERS: usize = 5_000;
+///
+/// On torus fabrics this cap, not [`SPARSE_L2_TOL`], sets the cost of a
+/// monitor round: on the 8×16 torus every candidate of a round runs the
+/// full 5 000 iterations without meeting the tolerance, so a round's λ₂
+/// work is candidates × cap × one pass over the edge set.
+pub const SPARSE_L2_MAX_ITERS: usize = 5_000;
 
-/// Convergence tolerance for the sparse λ₂ evaluation.
-const SPARSE_L2_TOL: f64 = 1e-12;
+/// Convergence tolerance for the sparse λ₂ evaluation (the change in the
+/// Rayleigh quotient between iterations).
+pub const SPARSE_L2_TOL: f64 = 1e-12;
 
 /// Directed iteration times `t_{i,m}` stored per live topology edge.
 ///
@@ -224,9 +233,9 @@ pub struct SparsePolicyResult {
     pub policy: SparsePolicy,
     /// The disagreement weight ρ to run consensus SGD with.
     pub rho: f64,
-    /// Second-largest eigenvalue estimate of `Y_P` for the chosen policy
-    /// (bounded-effort power iteration; see [`SparsePolicyResult`]'s
-    /// module docs).
+    /// Second-largest eigenvalue estimate of `Y_P` for the chosen policy:
+    /// a bounded-effort power iteration, capped at
+    /// [`SPARSE_L2_MAX_ITERS`] (see the [module docs](self)).
     pub lambda2: f64,
     /// The target mean iteration time t̄ the LP was solved for.
     pub t_bar: f64,
@@ -389,6 +398,19 @@ impl PolicyGenerator {
     /// float-identical), each candidate solved row-wise and scored with
     /// the sparse λ₂ estimate.
     ///
+    /// All candidates' `Y_P` share one pattern ([`y_pattern`]), so their
+    /// λ₂ power iterations run in lockstep lanes of a [`SparseBatch`]:
+    /// feasible candidates fill lanes in (ρ, t̄) order and each full group
+    /// is solved at once. Lane results are bit-identical to scoring the
+    /// candidates one by one. Candidates are ranked in (ρ, t̄) order by
+    /// strict `<` on t_convergence, so the earliest of equal candidates
+    /// wins — the same pick as Algorithm 3's nested per-ρ / across-ρ
+    /// argmin, whose two levels compare the same key. Only the
+    /// winner's policy is kept: its LP is solved once more at the end
+    /// (the solve is deterministic, so the policy bytes are the same),
+    /// which holds the round's memory to one policy rather than a lane
+    /// group's worth.
+    ///
     /// Candidate *selection* can differ from the dense path when two
     /// candidates' convergence estimates sit within the eigensolvers'
     /// disagreement (≲ 10⁻⁶); both picks are then equally good. The LP
@@ -409,62 +431,95 @@ impl PolicyGenerator {
         let u_rho = rho_upper_bound_sparse(alpha, times, topo)?;
         let delta_rho = u_rho / self.cfg.outer_k as f64;
 
-        let mut best: Option<SparsePolicyResult> = None;
-        for k in 1..=self.cfg.outer_k {
-            let rho = k as f64 * delta_rho;
-            if let Some(cand) = self.inner_loop_sparse(alpha, rho, times, topo) {
-                if best.as_ref().is_none_or(|b| cand.t_convergence < b.t_convergence) {
-                    best = Some(cand);
+        // The lane buffers live only in this block, so they are freed
+        // before the winner's policy is rebuilt.
+        let best = {
+            let pattern = y_pattern(topo);
+            let mut batch = SparseBatch::new(&pattern);
+            // The (ρ, t̄) of each candidate waiting in a lane, in lane order.
+            let mut queued: Vec<(f64, f64)> = Vec::with_capacity(MAX_LANES);
+            let mut best = None;
+            let p_node = vec![1.0 / m as f64; m];
+            let mut y = Vec::with_capacity(pattern.nnz());
+            for k in 1..=self.cfg.outer_k {
+                let rho = k as f64 * delta_rho;
+                let Some((lower, upper)) = t_bar_bounds_sparse(alpha, rho, times, topo) else {
+                    continue;
+                };
+                let delta = (upper - lower) / self.cfg.inner_r as f64;
+                for r in 1..=self.cfg.inner_r {
+                    let t_bar = lower + r as f64 * delta;
+                    let Some(policy) = solve_policy_lp_rowwise(alpha, rho, t_bar, times, topo)
+                    else {
+                        continue;
+                    };
+                    y_values_sparse(&policy, topo, &p_node, alpha, rho, &mut y);
+                    debug_assert!(
+                        is_row_stochastic(&pattern, &y),
+                        "feasible policy must give doubly stochastic Y (Lemma 1)"
+                    );
+                    batch.push_lane(&y);
+                    queued.push((rho, t_bar));
+                    if batch.is_full() {
+                        self.score_lanes(&mut batch, &mut queued, &mut best);
+                    }
                 }
             }
-        }
-        best
+            self.score_lanes(&mut batch, &mut queued, &mut best);
+            best?
+        };
+        let policy = solve_policy_lp_rowwise(alpha, best.rho, best.t_bar, times, topo)?;
+        Some(SparsePolicyResult {
+            policy,
+            rho: best.rho,
+            lambda2: best.lambda2,
+            t_bar: best.t_bar,
+            t_convergence: best.t_convergence,
+        })
     }
 
-    fn inner_loop_sparse(
+    /// Solves the batch's lanes and ranks each queued candidate, in
+    /// queue order, against `best` — skipping the λ₂ values Algorithm 3
+    /// cannot rank (λ₂ ∉ (0, 1)).
+    fn score_lanes(
         &self,
-        alpha: f64,
-        rho: f64,
-        times: &EdgeTimes,
-        topo: &Topology,
-    ) -> Option<SparsePolicyResult> {
-        let m = topo.len();
-        let mf = m as f64;
-        let (lower, upper) = t_bar_bounds_sparse(alpha, rho, times, topo)?;
-        let delta = (upper - lower) / self.cfg.inner_r as f64;
-        let mut best: Option<SparsePolicyResult> = None;
-        for r in 1..=self.cfg.inner_r {
-            let t_bar = lower + r as f64 * delta;
-            let Some(policy) = solve_policy_lp_rowwise(alpha, rho, t_bar, times, topo) else {
-                continue;
-            };
-            let p_node = vec![1.0 / mf; m];
-            let y = build_y_sparse(&policy, topo, &p_node, alpha, rho);
-            debug_assert!(
-                (0..m).all(|i| {
-                    (y.row(i).iter().map(|&(_, v)| v).sum::<f64>() - 1.0).abs() < 1e-6
-                }),
-                "feasible policy must give doubly stochastic Y (Lemma 1)"
-            );
-            let lambda2 =
-                second_largest_eigenvalue_sparse(&y, SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL)
-                    .eigenvalue;
+        batch: &mut SparseBatch,
+        queued: &mut Vec<(f64, f64)>,
+        best: &mut Option<Scored>,
+    ) {
+        let mut lambdas = Vec::with_capacity(queued.len());
+        batch.solve_lanes(SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL, &mut lambdas);
+        for ((rho, t_bar), l2) in queued.drain(..).zip(&lambdas) {
+            let lambda2 = l2.eigenvalue;
             if lambda2 >= 1.0 - 1e-12 || lambda2 <= 0.0 {
                 continue;
             }
-            let t_conv = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
-            if best.as_ref().is_none_or(|b| t_conv < b.t_convergence) {
-                best = Some(SparsePolicyResult {
-                    policy,
-                    rho,
-                    lambda2,
-                    t_bar,
-                    t_convergence: t_conv,
-                });
+            let t_convergence = t_bar * self.cfg.epsilon.ln() / lambda2.ln();
+            if best.is_none_or(|b| t_convergence < b.t_convergence) {
+                *best = Some(Scored { rho, t_bar, lambda2, t_convergence });
             }
         }
-        best
     }
+}
+
+/// A ranked candidate: everything of a [`SparsePolicyResult`] but the
+/// policy.
+#[derive(Debug, Clone, Copy)]
+struct Scored {
+    rho: f64,
+    t_bar: f64,
+    lambda2: f64,
+    t_convergence: f64,
+}
+
+/// Every row of `values` over `pattern` sums to 1 (within 1e-6).
+fn is_row_stochastic(pattern: &SparsePattern, values: &[f64]) -> bool {
+    let mut rest = values;
+    (0..pattern.order()).all(|i| {
+        let (row, tail) = rest.split_at(pattern.row(i).len());
+        rest = tail;
+        (row.iter().sum::<f64>() - 1.0).abs() < 1e-6
+    })
 }
 
 #[cfg(test)]

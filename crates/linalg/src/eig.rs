@@ -157,25 +157,17 @@ pub fn power_iteration(
     let n = a.rows();
     assert!(n > 0, "power_iteration: empty matrix");
 
-    // Deterministic start vector. A nonlinear (hashed) sequence is used
-    // instead of an affine one: affine sequences can be exactly orthogonal
-    // to structured eigenvectors (e.g. of block-diagonal gossip matrices).
-    let mut v: Vec<f64> = (0..n as u64)
-        .map(|i| {
-            // SplitMix64 finaliser, mapped to (0.5, 1.5).
-            let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            0.5 + (z as f64 / u64::MAX as f64)
-        })
-        .collect();
+    let mut v = start_vector(n);
     orthogonalize(&mut v, deflate);
     normalize(&mut v);
 
+    // Each iteration's Rayleigh product `A·w` is exactly the next
+    // iteration's `A·v` (the iterate is `w` itself), so it is carried
+    // over instead of recomputed: one matvec per iteration.
+    let mut av = a.matvec(&v);
     let mut lambda = 0.0;
     for it in 0..max_iters {
-        let mut w = a.matvec(&v);
+        let mut w = av;
         orthogonalize(&mut w, deflate);
         let norm = l2(&w);
         if norm < 1e-300 {
@@ -186,11 +178,10 @@ pub fn power_iteration(
             *x /= norm;
         }
         // Rayleigh quotient.
-        let av = a.matvec(&w);
+        av = a.matvec(&w);
         let new_lambda: f64 = w.iter().zip(&av).map(|(a, b)| a * b).sum();
         let delta = (new_lambda - lambda).abs();
         lambda = new_lambda;
-        v = w;
         if it > 0 && delta < tol {
             return PowerIterationResult { eigenvalue: lambda, iterations: it + 1, converged: true };
         }
@@ -198,11 +189,29 @@ pub fn power_iteration(
     PowerIterationResult { eigenvalue: lambda, iterations: max_iters, converged: false }
 }
 
+/// Deterministic power-iteration start vector of length `n`, entries in
+/// (0.5, 1.5). A nonlinear (hashed) sequence is used instead of an affine
+/// one: affine sequences can be exactly orthogonal to structured
+/// eigenvectors (e.g. of block-diagonal gossip matrices). The dense and
+/// sparse solvers share it, so they are paired draws in tests.
+pub(crate) fn start_vector(n: usize) -> Vec<f64> {
+    (0..n as u64)
+        .map(|i| {
+            // SplitMix64 finaliser, mapped to (0.5, 1.5).
+            let mut z = i.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            0.5 + (z as f64 / u64::MAX as f64)
+        })
+        .collect()
+}
+
 fn l2(v: &[f64]) -> f64 {
     v.iter().map(|x| x * x).sum::<f64>().sqrt()
 }
 
-fn normalize(v: &mut [f64]) {
+pub(crate) fn normalize(v: &mut [f64]) {
     let n = l2(v);
     if n > 0.0 {
         for x in v.iter_mut() {
@@ -308,6 +317,70 @@ mod tests {
         let pow = power_iteration(&m, Some(&ones), 10_000, 1e-13);
         assert!(pow.converged);
         assert!(approx(pow.eigenvalue, jac2, 1e-8));
+    }
+
+    /// The two-matvec form of [`power_iteration`]: the Rayleigh product
+    /// is discarded and `A·v` recomputed on the same vector next time.
+    fn two_matvec_power_iteration(
+        a: &Matrix,
+        deflate: Option<&[f64]>,
+        max_iters: usize,
+        tol: f64,
+    ) -> PowerIterationResult {
+        let mut v = start_vector(a.rows());
+        orthogonalize(&mut v, deflate);
+        normalize(&mut v);
+        let mut lambda = 0.0;
+        for it in 0..max_iters {
+            let mut w = a.matvec(&v);
+            orthogonalize(&mut w, deflate);
+            let norm = l2(&w);
+            if norm < 1e-300 {
+                return PowerIterationResult { eigenvalue: 0.0, iterations: it, converged: true };
+            }
+            for x in &mut w {
+                *x /= norm;
+            }
+            let av = a.matvec(&w);
+            let new_lambda: f64 = w.iter().zip(&av).map(|(a, b)| a * b).sum();
+            let delta = (new_lambda - lambda).abs();
+            lambda = new_lambda;
+            v = w;
+            if it > 0 && delta < tol {
+                return PowerIterationResult { eigenvalue: lambda, iterations: it + 1, converged: true };
+            }
+        }
+        PowerIterationResult { eigenvalue: lambda, iterations: max_iters, converged: false }
+    }
+
+    #[test]
+    fn one_matvec_power_iteration_is_bit_identical_to_two_matvec_form() {
+        let lazy = Matrix::from_rows(&[
+            vec![0.6, 0.3, 0.1],
+            vec![0.3, 0.4, 0.3],
+            vec![0.1, 0.3, 0.6],
+        ]);
+        let spd = Matrix::from_rows(&[
+            vec![4.0, 1.0, 0.5],
+            vec![1.0, 3.0, 0.2],
+            vec![0.5, 0.2, 1.0],
+        ]);
+        let swap = Matrix::from_rows(&[vec![0.5, 0.5], vec![0.5, 0.5]]);
+        let ones3 = vec![1.0; 3];
+        let ones2 = vec![1.0; 2];
+        let cases: [(&Matrix, Option<&[f64]>, usize); 5] = [
+            (&lazy, Some(&ones3), 10_000),
+            (&lazy, None, 10_000),
+            (&spd, None, 7),
+            (&spd, Some(&ones3), 0),
+            (&swap, Some(&ones2), 100),
+        ];
+        for (a, deflate, iters) in cases {
+            let got = power_iteration(a, deflate, iters, 1e-13);
+            let want = two_matvec_power_iteration(a, deflate, iters, 1e-13);
+            assert_eq!(got.eigenvalue.to_bits(), want.eigenvalue.to_bits());
+            assert_eq!((got.iterations, got.converged), (want.iterations, want.converged));
+        }
     }
 
     #[test]

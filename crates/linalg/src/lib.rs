@@ -20,10 +20,13 @@
 //! * [`spectral`] — full eigendecomposition with eigenvectors, used by
 //!   the diagnostics layer to locate communication bottlenecks (the sign
 //!   cut of `Y_P`'s second eigenvector).
-//! * [`sparse`] — a symmetric sparse matrix ([`SparseSymmetric`]) plus a
-//!   deflated power-iteration λ₂ solver
-//!   ([`second_largest_eigenvalue_sparse`]) for large sparse fabrics,
-//!   pinned to the dense Jacobi reference by the parity test suite.
+//! * [`sparse`] — a compressed-row pattern ([`SparsePattern`]), a
+//!   symmetric sparse matrix over it ([`SparseSymmetric`]), and a
+//!   deflated power-iteration λ₂ solver for large sparse fabrics — one
+//!   matrix at a time ([`second_largest_eigenvalue_sparse`]) or up to
+//!   [`MAX_LANES`] sharing a pattern in lockstep lanes ([`SparseBatch`]),
+//!   bit-identical either way, and pinned to the dense Jacobi reference
+//!   by the parity test suite.
 //!
 //! Everything is `f64`. At the paper's scale (M ≤ a few dozen worker
 //! nodes) the dense representation is both the fastest and the clearest
@@ -42,7 +45,9 @@ pub mod stochastic;
 
 pub use eig::{power_iteration, second_largest_eigenvalue, symmetric_eigenvalues};
 pub use matrix::Matrix;
-pub use sparse::{second_largest_eigenvalue_sparse, SparseSymmetric};
+pub use sparse::{
+    second_largest_eigenvalue_sparse, SparseBatch, SparsePattern, SparseSymmetric, MAX_LANES,
+};
 pub use spectral::{symmetric_eigen, SymmetricEigen};
 pub use stochastic::{is_doubly_stochastic, is_irreducible, is_nonnegative, is_symmetric};
 

@@ -46,12 +46,14 @@ fn fold_lanes(acc: &[f32; FAST_CHUNK]) -> f32 {
     let mut a = *acc;
     let mut stride = FAST_CHUNK / 2;
     while stride > 0 {
-        for j in 0..stride {
-            a[j] += a[j + stride];
+        let (lo, hi) = a.split_at_mut(stride);
+        for (x, y) in lo.iter_mut().zip(hi.iter()) {
+            *x += *y;
         }
         stride /= 2;
     }
-    a[0]
+    let [first, ..] = a;
+    first
 }
 
 /// Reassociated dot product: [`FAST_CHUNK`] independent accumulator
