@@ -12,14 +12,12 @@
 //! weight stays at 1/2 instead of NetMax's `αργ_{i,m}` compensation —
 //! this implementation reproduces exactly that difference.
 
-use netmax_core::engine::session::{matrix_from_json, matrix_to_json};
 use netmax_core::engine::{
     Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver,
 };
 use netmax_core::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
+use netmax_core::SparsePolicy;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use netmax_linalg::Matrix;
-use rand::Rng;
 
 /// AD-PSGD, optionally steered by a Network Monitor.
 pub struct AdPsgd {
@@ -27,7 +25,7 @@ pub struct AdPsgd {
     monitor_cfg: Option<MonitorConfig>,
     monitor: Option<NetworkMonitor>,
     tracker: Option<EmaTimeTracker>,
-    policy: Option<Matrix>,
+    policy: Option<SparsePolicy>,
     policies_applied: u64,
 }
 
@@ -91,22 +89,8 @@ impl GossipBehavior for AdPsgd {
 
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
         if let Some(policy) = &self.policy {
-            // Monitor-steered selection (same sampling as NetMax); mass a
-            // stale policy still assigns to crashed peers is skipped.
-            let n = env.num_nodes();
-            let u: f64 = env.node_rng(i).gen();
-            let mut acc = 0.0;
-            for m in 0..n {
-                let p = policy[(i, m)];
-                if p <= 0.0 || (m != i && !env.is_active(m)) {
-                    continue;
-                }
-                acc += p;
-                if u < acc {
-                    return if m == i { PeerChoice::SelfStep } else { PeerChoice::Peer(m) };
-                }
-            }
-            PeerChoice::SelfStep
+            // Monitor-steered selection, the same sampling as NetMax.
+            policy.sample(env, i)
         } else {
             match env.sample_active_neighbor(i) {
                 Some(m) => PeerChoice::Peer(m),
@@ -151,35 +135,18 @@ impl GossipBehavior for AdPsgd {
 
     fn checkpoint_state(&self) -> Json {
         Json::obj([
-            (
-                "tracker",
-                match &self.tracker {
-                    Some(t) => t.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "monitor",
-                match &self.monitor {
-                    Some(m) => m.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "policy",
-                match &self.policy {
-                    Some(p) => matrix_to_json(p),
-                    None => Json::Null,
-                },
-            ),
+            ("tracker", self.tracker.as_ref().map_or(Json::Null, EmaTimeTracker::checkpoint)),
+            ("monitor", self.monitor.as_ref().map_or(Json::Null, NetworkMonitor::checkpoint)),
+            ("policy", self.policy.to_json()),
             ("policies_applied", self.policies_applied.to_json()),
         ])
     }
 
-    fn restore_state(&mut self, _env: &Environment, state: &Json) -> Result<(), JsonError> {
+    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
+        let n = env.num_nodes();
         self.tracker = match state.field("tracker")? {
             Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t)?),
+            t => Some(EmaTimeTracker::restore_for(t, n)?),
         };
         if let (Some(monitor), m @ Json::Obj(_)) = (self.monitor.as_mut(), state.field("monitor")?)
         {
@@ -187,7 +154,7 @@ impl GossipBehavior for AdPsgd {
         }
         self.policy = match state.field("policy")? {
             Json::Null => None,
-            p => Some(matrix_from_json(p)?),
+            p => Some(SparsePolicy::restore(p, &env.topology)?),
         };
         self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
         Ok(())

@@ -9,6 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use netmax_core::gossip_matrix::build_y;
 use netmax_core::policy::{solve_policy_lp, PolicyGenerator, PolicySearchConfig};
+use netmax_core::EdgeTimes;
 use netmax_linalg::{second_largest_eigenvalue, Matrix};
 use netmax_net::Topology;
 use std::hint::black_box;
@@ -69,7 +70,7 @@ fn bench_policy_lp(c: &mut Criterion) {
     let mut g = c.benchmark_group("policy_lp");
     for m in [8usize, 16] {
         let topo = Topology::fully_connected(m);
-        let t = times(m);
+        let t = EdgeTimes::from_dense(&times(m), &topo);
         // A t̄ in the feasible band.
         let t_bar = 0.9 / m as f64;
         g.bench_with_input(BenchmarkId::from_parameter(m), &m, |b, _| {

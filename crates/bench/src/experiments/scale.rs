@@ -3,10 +3,10 @@
 //!
 //! This group exists to demonstrate (and regression-guard) that every
 //! per-step and per-monitor-round cost scales with the topology's edge
-//! set, not n²: beyond
+//! set, not n²: NetMax's control plane keeps edge-map trackers and
+//! solves per-row Eq. 14 LPs at every size, beyond
 //! [`DENSE_CONTROL_THRESHOLD`](netmax_core::DENSE_CONTROL_THRESHOLD)
-//! nodes NetMax runs the sparse control plane (edge-map trackers,
-//! per-row Eq. 14 LPs, power-iteration λ₂), and the engine's calendar
+//! nodes it scores λ₂ by power iteration, and the engine's calendar
 //! event queue keeps dispatch O(1) per step.
 //!
 //! Unlike the figure reproductions, the sweep is **step-budgeted**: each

@@ -2,12 +2,12 @@
 // test measure live heap bytes instead of trusting asymptotic claims.
 #![allow(unsafe_code)]
 
-//! Satellite suite: the sparse control plane's *memory* must scale with
-//! the edge set, not n². A byte-tracking global allocator measures the
+//! Satellite suite: the control plane's *memory* must scale with the
+//! edge set, not n². A byte-tracking global allocator measures the
 //! live-heap footprint of the edge-map tracker and the peak transient of
-//! a full sparse monitor round (LP search + λ₂) on a 256-node torus;
-//! both must stay far below the 8·n² bytes a single dense `f64` matrix
-//! of the historical control plane would occupy.
+//! a full monitor round (LP search + lane λ₂) on a 256-node torus; both
+//! must stay far below the 8·n² bytes a single dense `f64` matrix of a
+//! dense control plane would occupy.
 //!
 //! Everything is measured inside one `#[test]` so the parallel test
 //! harness cannot interleave foreign allocations into the window.
@@ -77,7 +77,7 @@ fn sparse_control_plane_memory_is_edge_bounded_at_n_256() {
 
     // --- Steady-state tracker footprint: O(observed pairs). -------------
     let before_tracker = live_bytes();
-    let mut tracker = EmaTimeTracker::for_fleet(n, 0.5);
+    let mut tracker = EmaTimeTracker::new(n, 0.5);
     for i in 0..n {
         for &m in topo.neighbors(i) {
             tracker.record(i, m, 0.25 + 0.05 * ((i * 31 + m * 17) % 9) as f64);
@@ -102,7 +102,7 @@ fn sparse_control_plane_memory_is_edge_bounded_at_n_256() {
     let mut monitor = NetworkMonitor::new(MonitorConfig { period_s: 1.0, beta: 0.5, search });
     let active = vec![true; n];
     let baseline = start_window();
-    let result = monitor.round_sparse(&tracker, &topo, 0.05, &active);
+    let result = monitor.round(&tracker, &topo, 0.05, &active);
     let round_peak = peak_above(baseline);
     let result = result.expect("full coverage on a connected torus must produce a policy");
     assert_eq!(result.policy.len(), n);

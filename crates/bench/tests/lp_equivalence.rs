@@ -1,73 +1,106 @@
-//! Satellite suite: the edge-set LP must be *indistinguishable* from the
-//! dense LP of Eq. (14) on every topology the benchmark registry can
-//! produce — including the mid-churn masked subgraphs the fault plans of
-//! the faults experiments create.
+//! Satellite suite: the row-wise Eq. (14) LP solver must be
+//! *indistinguishable* from the joint LP — one `LpProblem` over every
+//! row's variables with all 2M constraints — on every topology the
+//! benchmark registry can produce, including the mid-churn masked
+//! subgraphs the fault plans of the faults experiments create.
 //!
-//! The row-wise solver (`solve_policy_lp_rowwise`) exploits the LP's
-//! block structure, so under the deterministic Bland's-rule simplex the
-//! per-row solutions must be **bit-for-bit** the dense joint solution —
-//! not merely close. Same for the candidate-sweep bound helpers: the
-//! edge-list folds visit the same values in the same order as the dense
-//! row scans (absent entries contribute exact zeros), so ρ and t̄ grids
-//! are float-identical. These tests pin both claims across the whole
-//! registry so `scale/*` fleets select exactly the policies the dense
-//! oracle would.
+//! The row-wise solver (`netmax_core::solve_policy_lp`) exploits the
+//! LP's block structure, so under the deterministic Bland's-rule simplex
+//! its per-row solutions must be **bit-for-bit** the joint solution — not
+//! merely close. The joint formulation is built here, in the test, as the
+//! oracle.
 
 use netmax_bench::{registry, Mode};
-use netmax_core::policy::{rho_upper_bound, solve_policy_lp, t_bar_bounds};
-use netmax_core::sparse_policy::{rho_upper_bound_sparse, t_bar_bounds_sparse};
-use netmax_core::{solve_policy_lp_rowwise, EdgeTimes};
+use netmax_core::policy::{rho_upper_bound, t_bar_bounds, POLICY_MARGIN};
+use netmax_core::{solve_policy_lp, EdgeTimes};
 use netmax_linalg::Matrix;
+use netmax_lp::{solve, LpProblem, Relation};
 use netmax_net::Topology;
 
 /// Deterministic heterogeneous iteration times over the topology's edges:
 /// strictly positive, direction-dependent, and varied enough to give the
 /// LP non-trivial vertices.
-fn synthetic_times(topo: &Topology) -> Matrix {
+fn synthetic_times(topo: &Topology) -> EdgeTimes {
     let n = topo.len();
-    let mut t = Matrix::zeros(n, n);
-    for i in 0..n {
-        for &j in topo.neighbors(i) {
-            t[(i, j)] = 0.25 + 0.05 * ((i * 31 + j * 17) % 9) as f64;
-        }
-    }
-    t
+    let rows = (0..n)
+        .map(|i| {
+            topo.neighbors(i)
+                .iter()
+                .map(|&j| (j, 0.25 + 0.05 * ((i * 31 + j * 17) % 9) as f64))
+                .collect()
+        })
+        .collect();
+    EdgeTimes::from_rows(n, rows)
 }
 
-/// Asserts dense and row-wise LP agree (feasibility *and* bytes) over a
-/// small candidate grid derived from the shared sweep-bound helpers, and
-/// that the sparse bound helpers are float-identical to the dense ones.
+/// The joint Eq. (14) LP for one `(α, ρ, t̄)` candidate, solved at once:
+/// variables are every directed edge `(i, j)` in row-major order, then
+/// every diagonal `p_{i,i}`; row `i` contributes its Eq. 13 stochasticity
+/// row and its Eq. 10 time row, in that order; the objective is
+/// `Σᵢ p_{i,i}`. The solution is cleaned up as a dense matrix — negatives
+/// clamped to zero, each row divided by its ascending-column sum.
+fn joint_policy_lp(
+    alpha: f64,
+    rho: f64,
+    t_bar: f64,
+    times: &EdgeTimes,
+    topo: &Topology,
+) -> Option<Matrix> {
+    let m = topo.len();
+    let edges: Vec<(usize, usize)> = (0..m)
+        .flat_map(|i| topo.neighbors(i).iter().map(move |&j| (i, j)))
+        .collect();
+    let diag = |i: usize| edges.len() + i;
+    let mut lp = LpProblem::new(edges.len() + m);
+    for i in 0..m {
+        lp.set_objective(diag(i), 1.0);
+    }
+    for (v, &(i, j)) in edges.iter().enumerate() {
+        lp.set_lower_bound(v, alpha * rho * (topo.d(i, j) + topo.d(j, i)) + POLICY_MARGIN);
+    }
+    for i in 0..m {
+        let row: Vec<usize> = (0..edges.len()).filter(|&v| edges[v].0 == i).collect();
+        let mut sum_row: Vec<(usize, f64)> = row.iter().map(|&v| (v, 1.0)).collect();
+        sum_row.push((diag(i), 1.0));
+        lp.add_constraint(sum_row, Relation::Eq, 1.0);
+        let time_row = row.iter().map(|&v| (v, times.get(i, edges[v].1))).collect();
+        lp.add_constraint(time_row, Relation::Eq, m as f64 * t_bar);
+    }
+    let x = solve(&lp).optimal()?.x;
+    let mut p = Matrix::zeros(m, m);
+    for (v, &(i, j)) in edges.iter().enumerate() {
+        p[(i, j)] = x[v].max(0.0);
+    }
+    for i in 0..m {
+        p[(i, i)] = x[diag(i)].max(0.0);
+        let s = p.row_sum(i);
+        for j in 0..m {
+            p[(i, j)] /= s;
+        }
+    }
+    Some(p)
+}
+
+/// Asserts the row-wise and joint LPs agree (feasibility *and* bytes)
+/// over a small candidate grid drawn from the search's sweep bounds.
 /// Returns the number of feasible candidates exercised.
 fn assert_lp_equivalent(topo: &Topology, label: &str) -> usize {
     let times = synthetic_times(topo);
-    let edge_times = EdgeTimes::from_dense(&times, topo);
     let mut feasible = 0usize;
     for &alpha in &[0.05, 0.1] {
-        let u_rho = rho_upper_bound(alpha, &times, topo);
-        assert_eq!(
-            u_rho,
-            rho_upper_bound_sparse(alpha, &edge_times, topo),
-            "{label}: ρ upper bound diverged (α = {alpha})"
-        );
-        let Some(u_rho) = u_rho else { continue };
+        let Some(u_rho) = rho_upper_bound(alpha, &times, topo) else { continue };
         for k in 1..=3usize {
             let rho = u_rho * k as f64 / 3.0;
-            let bounds = t_bar_bounds(alpha, rho, &times, topo);
-            assert_eq!(
-                bounds,
-                t_bar_bounds_sparse(alpha, rho, &edge_times, topo),
-                "{label}: t̄ bounds diverged (α = {alpha}, ρ = {rho})"
-            );
-            let Some((lower, upper)) = bounds else { continue };
+            let Some((lower, upper)) = t_bar_bounds(alpha, rho, &times, topo) else { continue };
             for r in 1..=3usize {
                 let t_bar = lower + (upper - lower) * r as f64 / 4.0;
-                let dense = solve_policy_lp(alpha, rho, t_bar, &times, topo);
-                let rowwise = solve_policy_lp_rowwise(alpha, rho, t_bar, &edge_times, topo);
-                match (&dense, &rowwise) {
-                    (Some(d), Some(s)) => {
+                let joint = joint_policy_lp(alpha, rho, t_bar, &times, topo);
+                let rowwise = solve_policy_lp(alpha, rho, t_bar, &times, topo);
+                match (&joint, &rowwise) {
+                    (Some(j), Some(s)) => {
                         assert_eq!(
                             s.to_dense().as_slice(),
-                            d.as_slice(),
+                            j.as_slice(),
                             "{label}: policies diverged at (α = {alpha}, ρ = {rho}, t̄ = {t_bar})"
                         );
                         feasible += 1;
@@ -75,8 +108,8 @@ fn assert_lp_equivalent(topo: &Topology, label: &str) -> usize {
                     (None, None) => {}
                     _ => panic!(
                         "{label}: feasibility diverged at (α = {alpha}, ρ = {rho}, t̄ = {t_bar}): \
-                         dense = {}, rowwise = {}",
-                        dense.is_some(),
+                         joint = {}, rowwise = {}",
+                        joint.is_some(),
                         rowwise.is_some()
                     ),
                 }

@@ -58,8 +58,8 @@ pub fn audit_policy(
 ) -> PolicyAudit {
     let m = topo.len();
     assert_eq!(times.rows(), m, "times shape mismatch");
-    assert_eq!(res.policy.rows(), m, "policy shape mismatch");
-    let p = &res.policy;
+    assert_eq!(res.policy.len(), m, "policy shape mismatch");
+    let p = &res.policy.to_dense();
 
     // Expected per-iteration comm time, averaged over nodes.
     let expected = (0..m)
@@ -203,7 +203,7 @@ mod tests {
         assert_eq!(audit.self_selection.len(), 4);
         for (i, &s) in audit.self_selection.iter().enumerate() {
             assert!((0.0..=1.0).contains(&s), "node {i} self prob {s}");
-            assert!((s - res.policy[(i, i)]).abs() < 1e-12);
+            assert!((s - res.policy.get(i, i)).abs() < 1e-12);
         }
     }
 }

@@ -6,13 +6,14 @@
 //!   `Y_P = E[(D^k)^T D^k]` from a communication policy (Eq. 19–22) and
 //!   the convergence-bound arithmetic of Theorems 1–2.
 //! * [`policy`] — the communication-policy generation of Algorithm 3: the
-//!   nested (ρ, t̄) search, the LP of Eq. (14) solved with `netmax-lp`,
-//!   and λ₂ evaluation with `netmax-linalg`.
-//! * [`sparse_policy`] — the edge-set control plane for fleets beyond
-//!   [`sparse_policy::DENSE_CONTROL_THRESHOLD`] nodes: per-row Eq. (14)
-//!   LPs (bit-identical to the joint dense solve), sparse `Y_P`
-//!   assembly, and the power-iteration λ₂ of `netmax-linalg`, so every
-//!   monitor round costs O(edges), not O(n²)–O(n³).
+//!   (ρ, t̄) search, the LP of Eq. (14) solved row by row with
+//!   `netmax-lp`, and λ₂ evaluation with `netmax-linalg` (dense Jacobi up
+//!   to [`DENSE_CONTROL_THRESHOLD`] nodes, the lockstep sparse power
+//!   iteration above it — the only step that depends on the fleet size).
+//! * [`sparse_policy`] — the control plane's edge-set data types: the
+//!   iteration times `T` and the policy `P`, stored per topology edge so
+//!   every monitor round costs O(edges), not O(n²)–O(n³), with the row
+//!   sampling and checkpoint codec the behaviours share.
 //! * [`monitor`] — the Network Monitor of Algorithm 1: periodic iteration-
 //!   time collection and policy dissemination.
 //! * [`netmax`] — the consensus SGD worker algorithm of Algorithm 2: the
@@ -49,9 +50,6 @@ pub use engine::{
 pub use gossip_matrix::{build_y, build_y_sparse, convergence_bound, node_probabilities,
     node_probabilities_sparse};
 pub use monitor::{MonitorConfig, NetworkMonitor};
-pub use netmax::{MergeWeighting, NetMax, NetMaxConfig, PolicyView};
-pub use policy::{PolicyGenerator, PolicyResult, PolicySearchConfig};
-pub use sparse_policy::{
-    solve_policy_lp_rowwise, EdgeTimes, SparsePolicy, SparsePolicyResult,
-    DENSE_CONTROL_THRESHOLD,
-};
+pub use netmax::{MergeWeighting, NetMax, NetMaxConfig};
+pub use policy::{solve_policy_lp, PolicyGenerator, PolicyResult, PolicySearchConfig};
+pub use sparse_policy::{EdgeTimes, SparsePolicy, DENSE_CONTROL_THRESHOLD};

@@ -4,71 +4,55 @@
 //! deliberately *not* a parameter server: "it only collects a small amount
 //! of time-related statistics for evaluating the network condition"
 //! (§III-A). Every period `Ts` it gathers the workers' EMA iteration-time
-//! vectors into the matrix `[t_{i,m}]`, runs the policy generator
-//! (Algorithm 3), and disseminates the resulting `(P, ρ)`.
+//! vectors into `T = [t_{i,m}]`, runs the policy generator (Algorithm 3),
+//! and disseminates the resulting `(P, ρ)`.
 //!
 //! [`EmaTimeTracker`] implements the worker-side `UPDATETIMEVECTOR`
 //! procedure (Algorithm 2 lines 19–22): an exponential moving average per
 //! (node, neighbour) pair whose smoothing factor β trades recency against
-//! stability.
+//! stability. EMAs exist only for pairs that actually gossiped, and `T` is
+//! assembled over the topology's edges ([`EdgeTimes`]), so a round's
+//! memory and work are O(edges) at every fleet size.
 
-use crate::engine::session::{matrix_from_json, matrix_to_json};
+use crate::engine::session::matrix_from_json;
 use crate::policy::{PolicyGenerator, PolicyResult, PolicySearchConfig};
-use crate::sparse_policy::{EdgeTimes, SparsePolicy, SparsePolicyResult, DENSE_CONTROL_THRESHOLD};
+use crate::sparse_policy::{EdgeTimes, SparsePolicy};
 use netmax_json::{FromJson, Json, JsonError, ToJson};
 use netmax_linalg::Matrix;
 use netmax_net::Topology;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
-/// Backing storage for the EMA estimates: a dense `n × n` matrix for
-/// small fleets (byte-for-byte the historical layout), or a map keyed by
-/// ordered pair for fleets whose `n²` would dwarf the edge count — EMA
-/// entries only ever exist for pairs that actually gossiped, so the map
-/// holds O(edges) entries.
-#[derive(Debug, Clone)]
-enum TimeStore {
-    Dense { times: Matrix, observed: Vec<bool> },
-    Sparse(BTreeMap<(usize, usize), f64>),
-}
-
 /// Worker-side EMA iteration-time state for the whole fleet (the
 /// simulation keeps all workers' vectors in one place; on a real
-/// deployment each row lives on its worker).
+/// deployment each row lives on its worker). Estimates are keyed by
+/// ordered `(node, neighbour)` pair, so the store holds O(observed pairs)
+/// entries.
 #[derive(Debug, Clone)]
 pub struct EmaTimeTracker {
-    store: TimeStore,
+    times: BTreeMap<(usize, usize), f64>,
     beta: f64,
     n: usize,
 }
 
 impl EmaTimeTracker {
-    /// Creates a dense tracker for `n` workers with smoothing factor
-    /// `beta` (`T[m] ← β·T[m] + (1−β)·t`; smaller β forgets faster).
+    /// Creates a tracker for `n` workers with smoothing factor `beta`
+    /// (`T[m] ← β·T[m] + (1−β)·t`; smaller β forgets faster).
     pub fn new(n: usize, beta: f64) -> Self {
         assert!((0.0..1.0).contains(&beta), "β must be in [0, 1)");
-        Self {
-            store: TimeStore::Dense { times: Matrix::zeros(n, n), observed: vec![false; n * n] },
-            beta,
-            n,
-        }
+        Self { times: BTreeMap::new(), beta, n }
     }
 
-    /// Creates a sparse (edge-map) tracker: O(observed pairs) memory.
-    pub fn new_sparse(n: usize, beta: f64) -> Self {
-        assert!((0.0..1.0).contains(&beta), "β must be in [0, 1)");
-        Self { store: TimeStore::Sparse(BTreeMap::new()), beta, n }
-    }
-
-    /// Dense below [`DENSE_CONTROL_THRESHOLD`] nodes, sparse above — the
-    /// constructor the NetMax behavior uses so small fleets keep the
-    /// historical store bit for bit.
+    /// Same as [`EmaTimeTracker::new`]. Kept because the benchmark's
+    /// monitor replay (`crates/bench/src/bin/perfbench`) is frozen and
+    /// still names it.
     pub fn for_fleet(n: usize, beta: f64) -> Self {
-        if n > DENSE_CONTROL_THRESHOLD {
-            Self::new_sparse(n, beta)
-        } else {
-            Self::new(n, beta)
-        }
+        Self::new(n, beta)
+    }
+
+    /// Number of workers the tracker covers.
+    pub fn num_nodes(&self) -> usize {
+        self.n
     }
 
     /// Records a completed iteration of worker `i` with neighbour `m`
@@ -76,97 +60,27 @@ impl EmaTimeTracker {
     pub fn record(&mut self, i: usize, m: usize, t: f64) {
         assert!(i < self.n && m < self.n && i != m, "bad record indices");
         assert!(t.is_finite() && t >= 0.0, "bad iteration time");
-        match &mut self.store {
-            TimeStore::Dense { times, observed } => {
-                let idx = i * self.n + m;
-                if observed[idx] {
-                    times[(i, m)] = self.beta * times[(i, m)] + (1.0 - self.beta) * t;
-                } else {
-                    times[(i, m)] = t;
-                    observed[idx] = true;
-                }
-            }
-            TimeStore::Sparse(map) => {
-                if let Some(v) = map.get_mut(&(i, m)) {
-                    *v = self.beta * *v + (1.0 - self.beta) * t;
-                } else {
-                    map.insert((i, m), t);
-                }
-            }
+        if let Some(v) = self.times.get_mut(&(i, m)) {
+            *v = self.beta * *v + (1.0 - self.beta) * t;
+        } else {
+            self.times.insert((i, m), t);
         }
     }
 
     /// Current EMA estimate for the pair, if any observation exists.
     pub fn get(&self, i: usize, m: usize) -> Option<f64> {
-        match &self.store {
-            TimeStore::Dense { times, observed } => {
-                if observed[i * self.n + m] {
-                    Some(times[(i, m)])
-                } else {
-                    None
-                }
-            }
-            TimeStore::Sparse(map) => map.get(&(i, m)).copied(),
-        }
+        self.times.get(&(i, m)).copied()
     }
 
-    /// The worst (largest) estimate observed anywhere, or `None` before
-    /// the first observation.
-    fn worst_observed(&self) -> Option<f64> {
-        match &self.store {
-            TimeStore::Dense { times, observed } => {
-                let n = self.n;
-                let worst = (0..n * n)
-                    .filter(|&k| observed[k])
-                    .map(|k| times[(k / n, k % n)])
-                    .fold(0.0f64, f64::max);
-                if worst > 0.0 {
-                    Some(worst)
-                } else {
-                    None
-                }
-            }
-            TimeStore::Sparse(map) => {
-                let worst = map.values().copied().fold(0.0f64, f64::max);
-                if worst > 0.0 {
-                    Some(worst)
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
-    /// Assembles the full iteration-time matrix for the policy generator,
+    /// Assembles `T` over the topology's edges for the policy generator,
     /// filling never-observed neighbour pairs with the worst time observed
     /// anywhere (a pessimistic prior keeps the LP from over-committing to
     /// links nobody has measured); pairs observed in one direction borrow
-    /// the reverse direction's estimate first.
-    pub fn matrix_for(&self, topo: &Topology) -> Matrix {
-        let n = self.n;
-        let fallback = self.worst_observed().unwrap_or(1.0);
-        let mut out = Matrix::zeros(n, n);
-        for i in 0..n {
-            for m in 0..n {
-                if i == m || !topo.is_edge(i, m) {
-                    continue;
-                }
-                out[(i, m)] = self
-                    .get(i, m)
-                    .or_else(|| self.get(m, i))
-                    .unwrap_or(fallback);
-            }
-        }
-        out
-    }
-
-    /// Edge-set counterpart of [`EmaTimeTracker::matrix_for`]: the same
-    /// pessimistic-fill and reverse-borrow rules, materialised only over
-    /// the topology's live edges (O(edges) work and memory).
+    /// the reverse direction's estimate first. O(edges) work and memory.
     pub fn edge_times_for(&self, topo: &Topology) -> EdgeTimes {
-        let n = self.n;
-        let fallback = self.worst_observed().unwrap_or(1.0);
-        let rows = (0..n)
+        let worst = self.times.values().copied().fold(0.0f64, f64::max);
+        let fallback = if worst > 0.0 { worst } else { 1.0 };
+        let rows = (0..self.n)
             .map(|i| {
                 topo.neighbors(i)
                     .iter()
@@ -176,76 +90,97 @@ impl EmaTimeTracker {
                     .collect()
             })
             .collect();
-        EdgeTimes::from_rows(n, rows)
+        EdgeTimes::from_rows(self.n, rows)
     }
 
-    /// Serializes the tracker's full state for checkpoint/resume. Dense
-    /// trackers keep the historical `{times, observed}` shape; sparse
-    /// trackers write an `entries` list of `[i, m, t]` triples.
-    pub fn checkpoint(&self) -> Json {
-        match &self.store {
-            TimeStore::Dense { times, observed } => Json::obj([
-                ("beta", self.beta.to_json()),
-                ("n", self.n.to_json()),
-                ("times", matrix_to_json(times)),
-                ("observed", observed.to_json()),
-            ]),
-            TimeStore::Sparse(map) => Json::obj([
-                ("beta", self.beta.to_json()),
-                ("n", self.n.to_json()),
-                (
-                    "entries",
-                    Json::Arr(
-                        map.iter()
-                            .map(|(&(i, m), &t)| {
-                                Json::Arr(vec![i.to_json(), m.to_json(), t.to_json()])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
+    /// [`EmaTimeTracker::edge_times_for`] as a dense `n × n` matrix (zero
+    /// off the edges). Kept because the frozen benchmark's monitor replay
+    /// (`crates/bench/src/bin/perfbench`) feeds it to
+    /// [`PolicyGenerator::generate`].
+    pub fn matrix_for(&self, topo: &Topology) -> Matrix {
+        let times = self.edge_times_for(topo);
+        let mut out = Matrix::zeros(self.n, self.n);
+        for i in 0..self.n {
+            for &(m, t) in times.row(i) {
+                out[(i, m)] = t;
+            }
         }
+        out
     }
 
-    /// Rebuilds a tracker from [`EmaTimeTracker::checkpoint`] state
-    /// (either store shape).
+    /// Serializes the tracker's full state for checkpoint/resume: `beta`,
+    /// `n` and an `entries` list of `[i, m, t]` triples in pair order.
+    pub fn checkpoint(&self) -> Json {
+        Json::obj([
+            ("beta", self.beta.to_json()),
+            ("n", self.n.to_json()),
+            (
+                "entries",
+                Json::Arr(
+                    self.times
+                        .iter()
+                        .map(|(&(i, m), &t)| Json::Arr(vec![i.to_json(), m.to_json(), t.to_json()]))
+                        .collect(),
+                ),
+            ),
+        ])
+    }
+
+    /// Rebuilds a tracker from [`EmaTimeTracker::checkpoint`] state,
+    /// rejecting β outside [0, 1), pairs out of range or on the diagonal,
+    /// and estimates that are not finite and non-negative. Also reads the
+    /// dense `{times, observed}` form that checkpoints of fleets up to
+    /// [`DENSE_CONTROL_THRESHOLD`](crate::DENSE_CONTROL_THRESHOLD) nodes
+    /// carried before the tracker had one store: its observed cells become
+    /// entries.
     pub fn restore(state: &Json) -> Result<Self, JsonError> {
         let n = usize::from_json(state.field("n")?)?;
         let beta = f64::from_json(state.field("beta")?)?;
-        if state.get("times").is_some() {
-            let observed: Vec<bool> = Vec::from_json(state.field("observed")?)?;
-            if observed.len() != n * n {
-                return Err(JsonError::schema("tracker observed-flag length mismatch".into()));
-            }
-            let times = matrix_from_json(state.field("times")?)?;
-            if times.rows() != n || times.cols() != n {
-                return Err(JsonError::schema(format!(
-                    "tracker time matrix is {}x{}, expected {n}x{n}",
-                    times.rows(),
-                    times.cols()
-                )));
-            }
-            return Ok(Self { store: TimeStore::Dense { times, observed }, beta, n });
+        if !(0.0..1.0).contains(&beta) {
+            return Err(JsonError::schema(format!("tracker β = {beta} outside [0, 1)")));
         }
-        let Json::Arr(entries) = state.field("entries")? else {
-            return Err(JsonError::schema("tracker entries must be an array".into()));
-        };
-        let mut map = BTreeMap::new();
-        for e in entries {
-            let Json::Arr(triple) = e else {
-                return Err(JsonError::schema("tracker entry must be [i, m, t]".into()));
-            };
-            if triple.len() != 3 {
-                return Err(JsonError::schema("tracker entry must be [i, m, t]".into()));
+        let mut entries = Vec::new();
+        if let Some(times) = state.get("times") {
+            let observed: Vec<bool> = Vec::from_json(state.field("observed")?)?;
+            let times = matrix_from_json(times)?;
+            if observed.len() != n * n || times.rows() != n || times.cols() != n {
+                return Err(JsonError::schema(format!("dense tracker state is not {n}x{n}")));
             }
-            let i = usize::from_json(&triple[0])?;
-            let m = usize::from_json(&triple[1])?;
+            for (k, _) in observed.iter().enumerate().filter(|(_, &seen)| seen) {
+                entries.push((k / n, k % n, times.as_slice().get(k).copied().unwrap_or(f64::NAN)));
+            }
+        } else {
+            for e in state.field("entries")?.as_arr()? {
+                let [i, m, t] = e.as_arr()? else {
+                    return Err(JsonError::schema("tracker entry must be [i, m, t]".into()));
+                };
+                entries.push((usize::from_json(i)?, usize::from_json(m)?, f64::from_json(t)?));
+            }
+        }
+        let mut times = BTreeMap::new();
+        for (i, m, t) in entries {
             if i >= n || m >= n || i == m {
                 return Err(JsonError::schema(format!("bad tracker entry ({i}, {m})")));
             }
-            map.insert((i, m), f64::from_json(&triple[2])?);
+            if !(t.is_finite() && t >= 0.0) {
+                return Err(JsonError::schema(format!("tracker EMA ({i}, {m}) = {t}")));
+            }
+            times.insert((i, m), t);
         }
-        Ok(Self { store: TimeStore::Sparse(map), beta, n })
+        Ok(Self { times, beta, n })
+    }
+
+    /// [`EmaTimeTracker::restore`] for an `n`-worker fleet: also rejects a
+    /// tracker that covers a different number of workers.
+    pub fn restore_for(state: &Json, n: usize) -> Result<Self, JsonError> {
+        let tracker = Self::restore(state)?;
+        if tracker.n != n {
+            return Err(JsonError::schema(format!(
+                "tracker covers {} workers, fleet has {n}",
+                tracker.n
+            )));
+        }
+        Ok(tracker)
     }
 
     /// Fraction of (ordered, adjacent) pairs with at least one observation.
@@ -306,13 +241,12 @@ pub struct NetworkMonitor {
     cfg: MonitorConfig,
     rounds: u64,
     last: Option<PolicyResult>,
-    last_sparse: Option<SparsePolicyResult>,
 }
 
 impl NetworkMonitor {
     /// Creates a monitor.
     pub fn new(cfg: MonitorConfig) -> Self {
-        Self { cfg, rounds: 0, last: None, last_sparse: None }
+        Self { cfg, rounds: 0, last: None }
     }
 
     /// The configured period `Ts`.
@@ -330,15 +264,9 @@ impl NetworkMonitor {
         self.rounds
     }
 
-    /// The most recent successful dense policy, if any.
+    /// The most recent successful policy, if any.
     pub fn last_policy(&self) -> Option<&PolicyResult> {
         self.last.as_ref()
-    }
-
-    /// The most recent successful edge-set policy, if any (fleets beyond
-    /// [`DENSE_CONTROL_THRESHOLD`] nodes run [`NetworkMonitor::round_sparse`]).
-    pub fn last_sparse_policy(&self) -> Option<&SparsePolicyResult> {
-        self.last_sparse.as_ref()
     }
 
     /// Serializes the monitor's mutable counters for checkpoint/resume
@@ -353,16 +281,17 @@ impl NetworkMonitor {
         Ok(())
     }
 
-    /// One monitor round (Algorithm 1 lines 3–6): collect the time matrix
-    /// from the tracker, regenerate the policy at the given current
-    /// learning rate α, and return the new `(P, ρ)` for dissemination.
+    /// One monitor round (Algorithm 1 lines 3–6): collect `T` from the
+    /// tracker over the topology's edges, regenerate the policy at the
+    /// given current learning rate α, and return the new `(P, ρ)` for
+    /// dissemination.
     ///
-    /// `active` masks dead workers out of the optimisation: the LP of
-    /// Eq. 14 is solved over the *live* subgraph only, and the returned
-    /// policy assigns exactly zero probability to every link touching a
-    /// dead node (dead rows are identity) — the policy layer routes
-    /// around outages. With everyone active this is exactly the classic
-    /// full-fleet round.
+    /// `active` masks dead workers out of the optimisation: the live
+    /// nodes are compacted by walking neighbour lists, the LP of Eq. 14 is
+    /// solved over the *live* subgraph only, and the returned policy
+    /// assigns exactly zero probability to every link touching a dead
+    /// node (dead rows are identity) — the policy layer routes around
+    /// outages. With everyone active this is exactly the full-fleet round.
     ///
     /// Returns `None` (keeping the previous policy) when coverage is too
     /// poor, fewer than two live nodes remain, the live subgraph is
@@ -382,84 +311,9 @@ impl NetworkMonitor {
             if tracker.coverage(topo) < 0.5 {
                 return None;
             }
-            let times = tracker.matrix_for(topo);
-            let result = PolicyGenerator::new(search).generate(&times, topo)?;
-            self.last = Some(result.clone());
-            return Some(result);
-        }
-
-        // Masked round: compact the live nodes, optimise over their
-        // subgraph, and expand the result back to fleet indices.
-        let n = topo.len();
-        assert_eq!(active.len(), n, "active mask/topology node count mismatch");
-        let idx: Vec<usize> = (0..n).filter(|&i| active[i]).collect();
-        if idx.len() < 2 {
-            return None;
-        }
-        let mut sub = Topology::empty(idx.len());
-        for a in 0..idx.len() {
-            for b in (a + 1)..idx.len() {
-                if topo.is_edge(idx[a], idx[b]) {
-                    sub.set_edge(a, b, true);
-                }
-            }
-        }
-        if !sub.is_connected() {
-            return None;
-        }
-        if tracker.coverage_over(topo, Some(active)) < 0.5 {
-            return None;
-        }
-        let full = tracker.matrix_for(topo);
-        let mut times = Matrix::zeros(idx.len(), idx.len());
-        for a in 0..idx.len() {
-            for b in 0..idx.len() {
-                times[(a, b)] = full[(idx[a], idx[b])];
-            }
-        }
-        let result = PolicyGenerator::new(search).generate(&times, &sub)?;
-        let mut policy = Matrix::zeros(n, n);
-        for i in 0..n {
-            if !active[i] {
-                // Dead rows are identity: no live node is ever steered to
-                // them, and they steer nowhere.
-                policy[(i, i)] = 1.0;
-            }
-        }
-        for a in 0..idx.len() {
-            for b in 0..idx.len() {
-                policy[(idx[a], idx[b])] = result.policy[(a, b)];
-            }
-        }
-        let expanded = PolicyResult { policy, ..result };
-        self.last = Some(expanded.clone());
-        Some(expanded)
-    }
-
-    /// Edge-set counterpart of [`NetworkMonitor::round`] for fleets
-    /// beyond [`DENSE_CONTROL_THRESHOLD`] nodes: the time matrix is never
-    /// materialised densely, the LP is solved row by row, λ₂ comes from
-    /// the sparse power iteration, and the masked-subgraph path compacts
-    /// live nodes by walking neighbour lists — every step is O(edges).
-    ///
-    /// Skip conditions (coverage, live count, connectivity) are the exact
-    /// rules of the dense round.
-    pub fn round_sparse(
-        &mut self,
-        tracker: &EmaTimeTracker,
-        topo: &Topology,
-        current_alpha: f64,
-        active: &[bool],
-    ) -> Option<SparsePolicyResult> {
-        self.rounds += 1;
-        let search = PolicySearchConfig { alpha: current_alpha, ..self.cfg.search.clone() };
-        if active.iter().all(|&a| a) {
-            if tracker.coverage(topo) < 0.5 {
-                return None;
-            }
             let times = tracker.edge_times_for(topo);
             let result = PolicyGenerator::new(search).generate_sparse(&times, topo)?;
-            self.last_sparse = Some(result.clone());
+            self.last = Some(result.clone());
             return Some(result);
         }
 
@@ -510,9 +364,8 @@ impl NetworkMonitor {
             // each row strictly ascending.
             rows[i] = result.policy.row(a).iter().map(|&(b, p)| (idx[b], p)).collect();
         }
-        let expanded =
-            SparsePolicyResult { policy: SparsePolicy::from_rows(n, rows), ..result };
-        self.last_sparse = Some(expanded.clone());
+        let expanded = PolicyResult { policy: SparsePolicy::from_rows(n, rows).ok()?, ..result };
+        self.last = Some(expanded.clone());
         Some(expanded)
     }
 }
@@ -612,9 +465,9 @@ mod tests {
                     continue;
                 }
                 if fast(i, m) {
-                    fast_sum += res.policy[(i, m)];
+                    fast_sum += res.policy.get(i, m);
                 } else {
-                    slow_sum += res.policy[(i, m)];
+                    slow_sum += res.policy.get(i, m);
                 }
             }
             assert!(fast_sum / 2.0 > slow_sum / 3.0, "node {i}: {:?}", res.policy);
@@ -642,47 +495,18 @@ mod tests {
         let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
         let res = mon.round(&tracker, &topo, 0.1, &active).expect("masked policy expected");
         for i in 0..5 {
-            assert_eq!(res.policy[(i, 5)], 0.0, "live node {i} steered to the dead node");
-            assert_eq!(res.policy[(5, i)], 0.0);
+            assert_eq!(res.policy.get(i, 5), 0.0, "live node {i} steered to the dead node");
+            assert_eq!(res.policy.get(5, i), 0.0);
             assert!((res.policy.row_sum(i) - 1.0).abs() < 1e-6, "row {i} not stochastic");
         }
-        assert_eq!(res.policy[(5, 5)], 1.0, "dead row must be identity");
+        // The dead row is identity and stores nothing else.
+        assert_eq!(res.policy.row(5), &[(5, 1.0)], "dead row must be identity");
         assert!(res.lambda2 < 1.0 && res.lambda2 > 0.0);
     }
 
     #[test]
-    fn sparse_tracker_matches_dense_tracker() {
-        let topo = Topology::ring(6);
-        let mut dense = EmaTimeTracker::new(6, 0.5);
-        let mut sparse = EmaTimeTracker::new_sparse(6, 0.5);
-        let obs = [(0usize, 1usize, 2.0), (1, 0, 1.5), (0, 1, 4.0), (2, 3, 0.7), (5, 0, 3.0)];
-        for &(i, m, t) in &obs {
-            dense.record(i, m, t);
-            sparse.record(i, m, t);
-        }
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    assert_eq!(dense.get(i, m), sparse.get(i, m), "pair ({i}, {m})");
-                }
-            }
-        }
-        assert_eq!(dense.coverage(&topo), sparse.coverage(&topo));
-        // The edge-set view must equal the dense matrix on every live edge
-        // (same pessimistic fill, same reverse borrowing) — bit for bit.
-        let m = dense.matrix_for(&topo);
-        let e = sparse.edge_times_for(&topo);
-        for i in 0..6 {
-            for &(j, t) in e.row(i) {
-                assert_eq!(t, m[(i, j)], "edge ({i}, {j})");
-            }
-            assert_eq!(e.row(i).len(), topo.neighbors(i).len());
-        }
-    }
-
-    #[test]
-    fn sparse_tracker_checkpoint_round_trips() {
-        let mut t = EmaTimeTracker::new_sparse(80, 0.5);
+    fn tracker_checkpoint_round_trips() {
+        let mut t = EmaTimeTracker::new(80, 0.5);
         t.record(0, 1, 2.0);
         t.record(0, 1, 4.0);
         t.record(79, 3, 0.25);
@@ -697,91 +521,52 @@ mod tests {
     }
 
     #[test]
-    fn round_sparse_matches_dense_round_when_all_active() {
-        // Same two-triad fleet as `monitor_generates_policy_with_coverage`.
-        // The candidate bounds are float-identical and the per-row LP is
-        // bit-identical to the joint dense solve, so the selected policy
-        // must match the dense round entry for entry.
-        let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
-                }
-            }
-        }
-        let mut dense_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let mut sparse_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let d = dense_mon.round(&tracker, &topo, 0.1, &[true; 6]).expect("dense policy");
-        let s = sparse_mon.round_sparse(&tracker, &topo, 0.1, &[true; 6]).expect("sparse policy");
-        assert_eq!(s.rho, d.rho, "selected ρ diverged");
-        assert_eq!(s.t_bar, d.t_bar, "selected t̄ diverged");
-        assert_eq!(s.policy.to_dense().as_slice(), d.policy.as_slice(), "policy diverged");
-        // λ₂ itself comes from a different solver (power iteration vs
-        // Jacobi), so it is close, not bit-equal.
-        assert!((s.lambda2 - d.lambda2).abs() < 1e-6, "{} vs {}", s.lambda2, d.lambda2);
-        assert!(sparse_mon.last_sparse_policy().is_some());
+    fn dense_tracker_checkpoints_restore_their_observed_cells() {
+        // The `{times, observed}` form: a 3×3 matrix with (0, 1) and
+        // (2, 0) observed; unobserved cells (even non-zero) are dropped.
+        let mut times = Matrix::zeros(3, 3);
+        times[(0, 1)] = 1.5;
+        times[(2, 0)] = 0.25;
+        times[(1, 2)] = 9.0;
+        let mut observed = vec![false; 9];
+        observed[1] = true;
+        observed[6] = true;
+        let state = Json::obj([
+            ("beta", 0.5.to_json()),
+            ("n", 3usize.to_json()),
+            ("times", crate::engine::session::matrix_to_json(&times)),
+            ("observed", observed.to_json()),
+        ]);
+        let t = EmaTimeTracker::restore(&state).expect("dense form restores");
+        assert_eq!((t.get(0, 1), t.get(2, 0), t.get(1, 2)), (Some(1.5), Some(0.25), None));
+        assert_eq!(t.checkpoint().get("entries").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]
-    fn round_sparse_masked_zeroes_dead_links_and_matches_dense_masked_round() {
-        let topo = Topology::fully_connected(6);
-        let mut tracker = EmaTimeTracker::new(6, 0.5);
-        let fast = |i: usize, m: usize| (i / 3) == (m / 3);
-        for i in 0..6 {
-            for m in 0..6 {
-                if i != m {
-                    tracker.record(i, m, if fast(i, m) { 0.1 } else { 1.0 });
-                }
-            }
+    fn restore_rejects_invalid_tracker_state() {
+        let mut t = EmaTimeTracker::new(4, 0.5);
+        t.record(0, 1, 2.0);
+        let good = t.checkpoint();
+        assert!(EmaTimeTracker::restore_for(&good, 4).is_ok());
+        assert!(EmaTimeTracker::restore_for(&good, 5).is_err(), "fleet size mismatch");
+        let with = |key: &str, v: Json| {
+            let Json::Obj(mut pairs) = good.clone() else { unreachable!() };
+            pairs.iter_mut().filter(|(k, _)| k == key).for_each(|(_, x)| *x = v.clone());
+            Json::Obj(pairs)
+        };
+        let entry = |i: usize, m: usize, t: f64| {
+            Json::Arr(vec![Json::Arr(vec![i.to_json(), m.to_json(), t.to_json()])])
+        };
+        for bad in [
+            with("beta", 1.0.to_json()),
+            with("beta", (-0.5).to_json()),
+            with("entries", entry(0, 1, -1.0)),
+            with("entries", entry(0, 1, f64::NAN)),
+            with("entries", entry(2, 2, 1.0)),
+            with("entries", entry(0, 4, 1.0)),
+        ] {
+            assert!(EmaTimeTracker::restore(&bad).is_err(), "{}", bad.pretty());
         }
-        let mut active = [true; 6];
-        active[5] = false;
-        let mut dense_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let mut sparse_mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        let d = dense_mon.round(&tracker, &topo, 0.1, &active).expect("dense masked policy");
-        let s =
-            sparse_mon.round_sparse(&tracker, &topo, 0.1, &active).expect("sparse masked policy");
-        assert_eq!(s.rho, d.rho);
-        assert_eq!(s.policy.to_dense().as_slice(), d.policy.as_slice());
-        for i in 0..5 {
-            assert_eq!(s.policy.get(i, 5), 0.0, "live node {i} steered to the dead node");
-            assert_eq!(s.policy.get(5, i), 0.0);
-            assert!((s.policy.row_sum(i) - 1.0).abs() < 1e-6, "row {i} not stochastic");
-        }
-        assert_eq!(s.policy.get(5, 5), 1.0, "dead row must be identity");
-        // Dead row carries no off-diagonal entries at all in the sparse
-        // representation — the structural guarantee the n = 4096 fleet
-        // relies on for O(edges) memory.
-        assert_eq!(s.policy.row(5), &[(5, 1.0)]);
-    }
-
-    #[test]
-    fn round_sparse_applies_the_same_skip_rules_as_the_dense_round() {
-        let topo = Topology::fully_connected(4);
-        let mut mon = NetworkMonitor::new(MonitorConfig::paper_default(0.1));
-        // Poor coverage → skip (but the round still counts).
-        let empty = EmaTimeTracker::new_sparse(4, 0.5);
-        assert!(mon.round_sparse(&empty, &topo, 0.1, &[true; 4]).is_none());
-        assert_eq!(mon.rounds(), 1);
-        let mut tracker = EmaTimeTracker::new_sparse(4, 0.5);
-        for i in 0..4 {
-            for m in 0..4 {
-                if i != m {
-                    tracker.record(i, m, 1.0);
-                }
-            }
-        }
-        // One live node: nothing to optimise.
-        assert!(mon
-            .round_sparse(&tracker, &topo, 0.1, &[true, false, false, false])
-            .is_none());
-        // Live nodes 0 and 2 on the 4-ring are not adjacent: disconnected.
-        assert!(mon
-            .round_sparse(&tracker, &Topology::ring(4), 0.1, &[true, false, true, false])
-            .is_none());
     }
 
     #[test]

@@ -14,35 +14,12 @@
 //! Every `Ts` the Network Monitor collects the EMA matrix and disseminates
 //! a freshly optimised `(P, ρ)`.
 
-use crate::engine::session::{matrix_from_json, matrix_to_json};
 use crate::engine::{Algorithm, Environment, GossipBehavior, GossipDriver, PeerChoice, SessionDriver};
 use crate::monitor::{EmaTimeTracker, MonitorConfig, NetworkMonitor};
-use crate::sparse_policy::{SparsePolicy, DENSE_CONTROL_THRESHOLD};
+use crate::sparse_policy::SparsePolicy;
 use netmax_json::{FromJson, Json, JsonError, ToJson};
-use netmax_linalg::Matrix;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-
-/// The active policy in whichever representation the fleet size calls
-/// for: dense matrices at or below [`DENSE_CONTROL_THRESHOLD`] nodes
-/// (the historical path, byte-for-byte), edge-set rows above it.
-#[derive(Debug, Clone)]
-pub enum PolicyView {
-    /// Dense `M × M` policy from [`NetworkMonitor::round`].
-    Dense(Matrix),
-    /// Edge-set policy from [`NetworkMonitor::round_sparse`].
-    Sparse(SparsePolicy),
-}
-
-impl PolicyView {
-    /// `p_{i,m}` under either representation.
-    pub fn get(&self, i: usize, m: usize) -> f64 {
-        match self {
-            PolicyView::Dense(p) => p[(i, m)],
-            PolicyView::Sparse(p) => p.get(i, m),
-        }
-    }
-}
 
 /// How the second-step update weights the pulled model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -99,7 +76,7 @@ pub struct NetMax {
     cfg: NetMaxConfig,
     monitor: NetworkMonitor,
     tracker: Option<EmaTimeTracker>,
-    policy: Option<PolicyView>,
+    policy: Option<SparsePolicy>,
     rho: Option<f64>,
     policies_applied: u64,
 }
@@ -121,71 +98,17 @@ impl NetMax {
         self.policies_applied
     }
 
-    /// The currently active dense policy matrix, if the monitor has
-    /// produced one (fleets beyond [`DENSE_CONTROL_THRESHOLD`] nodes
-    /// carry an edge-set policy instead — see
-    /// [`NetMax::current_policy_view`]).
-    pub fn current_policy(&self) -> Option<&Matrix> {
-        match &self.policy {
-            Some(PolicyView::Dense(p)) => Some(p),
-            _ => None,
-        }
-    }
-
-    /// The currently active policy under either representation.
-    pub fn current_policy_view(&self) -> Option<&PolicyView> {
+    /// The currently active policy, if the monitor has produced one.
+    pub fn current_policy(&self) -> Option<&SparsePolicy> {
         self.policy.as_ref()
     }
 
     fn reset(&mut self, n: usize) {
-        self.tracker = Some(EmaTimeTracker::for_fleet(n, self.cfg.monitor.beta));
+        self.tracker = Some(EmaTimeTracker::new(n, self.cfg.monitor.beta));
         self.monitor = NetworkMonitor::new(self.cfg.monitor.clone());
         self.policy = None;
         self.rho = None;
         self.policies_applied = 0;
-    }
-
-    /// Samples from the policy row of node `i` (neighbours + self). Mass
-    /// a *stale* policy still assigns to a since-crashed peer is skipped
-    /// — those draws fall through to the self-step tail, so no worker
-    /// ever commits an iteration to a dead node (the next masked monitor
-    /// round removes the mass entirely).
-    fn sample_policy_row(&self, env: &mut Environment, i: usize) -> PeerChoice {
-        let policy = self.policy.as_ref().expect("sample_policy_row without policy");
-        let u: f64 = env.node_rng(i).gen();
-        let mut acc = 0.0;
-        match policy {
-            PolicyView::Dense(policy) => {
-                let n = env.num_nodes();
-                for m in 0..n {
-                    let p = policy[(i, m)];
-                    if p <= 0.0 || (m != i && !env.is_active(m)) {
-                        continue;
-                    }
-                    acc += p;
-                    if u < acc {
-                        return if m == i { PeerChoice::SelfStep } else { PeerChoice::Peer(m) };
-                    }
-                }
-            }
-            PolicyView::Sparse(policy) => {
-                // The stored row visits the support in the same ascending
-                // order the dense scan does (diagonal in sorted position),
-                // so one uniform draw lands on the same choice either way.
-                for &(m, p) in policy.row(i) {
-                    if p <= 0.0 || (m != i && !env.is_active(m)) {
-                        continue;
-                    }
-                    acc += p;
-                    if u < acc {
-                        return if m == i { PeerChoice::SelfStep } else { PeerChoice::Peer(m) };
-                    }
-                }
-            }
-        }
-        // Round-off tail (or mass stranded on dead peers): fall back to
-        // self.
-        PeerChoice::SelfStep
     }
 }
 
@@ -195,8 +118,8 @@ impl GossipBehavior for NetMax {
     }
 
     fn select_peer(&mut self, env: &mut Environment, i: usize) -> PeerChoice {
-        if self.policy.is_some() {
-            self.sample_policy_row(env, i)
+        if let Some(policy) = &self.policy {
+            policy.sample(env, i)
         } else {
             // Initial uniform policy of Algorithm 2 line 2: each of the M
             // entries (self included) gets equal probability; on sparse
@@ -253,18 +176,8 @@ impl GossipBehavior for NetMax {
             return;
         };
         let alpha = env.workload.optim.lr_at(env.mean_epoch());
-        if env.num_nodes() > DENSE_CONTROL_THRESHOLD {
-            if let Some(res) =
-                self.monitor.round_sparse(tracker, &env.topology, alpha, env.active_flags())
-            {
-                self.policy = Some(PolicyView::Sparse(res.policy));
-                self.rho = Some(res.rho);
-                self.policies_applied += 1;
-            }
-        } else if let Some(res) =
-            self.monitor.round(tracker, &env.topology, alpha, env.active_flags())
-        {
-            self.policy = Some(PolicyView::Dense(res.policy));
+        if let Some(res) = self.monitor.round(tracker, &env.topology, alpha, env.active_flags()) {
+            self.policy = Some(res.policy);
             self.rho = Some(res.rho);
             self.policies_applied += 1;
         }
@@ -272,96 +185,32 @@ impl GossipBehavior for NetMax {
 
     fn checkpoint_state(&self) -> Json {
         Json::obj([
-            (
-                "tracker",
-                match &self.tracker {
-                    Some(t) => t.checkpoint(),
-                    None => Json::Null,
-                },
-            ),
+            ("tracker", self.tracker.as_ref().map_or(Json::Null, EmaTimeTracker::checkpoint)),
             ("monitor", self.monitor.checkpoint()),
-            (
-                "policy",
-                match &self.policy {
-                    // Dense policies keep the historical checkpoint shape.
-                    Some(PolicyView::Dense(p)) => matrix_to_json(p),
-                    Some(PolicyView::Sparse(p)) => sparse_policy_to_json(p),
-                    None => Json::Null,
-                },
-            ),
+            ("policy", self.policy.to_json()),
             ("rho", self.rho.to_json()),
             ("policies_applied", self.policies_applied.to_json()),
         ])
     }
 
-    fn restore_state(&mut self, _env: &Environment, state: &Json) -> Result<(), JsonError> {
+    fn restore_state(&mut self, env: &Environment, state: &Json) -> Result<(), JsonError> {
+        let n = env.num_nodes();
         self.tracker = match state.field("tracker")? {
             Json::Null => None,
-            t => Some(EmaTimeTracker::restore(t)?),
+            t => Some(EmaTimeTracker::restore_for(t, n)?),
         };
         self.monitor.restore(state.field("monitor")?)?;
         self.policy = match state.field("policy")? {
             Json::Null => None,
-            p if p.get("data").is_some() => Some(PolicyView::Dense(matrix_from_json(p)?)),
-            p => Some(PolicyView::Sparse(sparse_policy_from_json(p)?)),
+            p => Some(SparsePolicy::restore(p, &env.topology)?),
         };
         self.rho = Option::from_json(state.field("rho")?)?;
+        if self.rho.is_some_and(|rho| !(rho.is_finite() && rho >= 0.0)) {
+            return Err(JsonError::schema(format!("bad ρ {:?}", self.rho)));
+        }
         self.policies_applied = u64::from_json(state.field("policies_applied")?)?;
         Ok(())
     }
-}
-
-/// Checkpoint form of an edge-set policy: `{n, rows: [[[j, p], ...], ...]}`
-/// — distinguished from the dense matrix shape by the absence of a `data`
-/// field.
-fn sparse_policy_to_json(p: &SparsePolicy) -> Json {
-    Json::obj([
-        ("n", p.len().to_json()),
-        (
-            "rows",
-            Json::Arr(
-                (0..p.len())
-                    .map(|i| {
-                        Json::Arr(
-                            p.row(i)
-                                .iter()
-                                .map(|&(j, v)| Json::Arr(vec![j.to_json(), v.to_json()]))
-                                .collect(),
-                        )
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Inverse of [`sparse_policy_to_json`].
-fn sparse_policy_from_json(v: &Json) -> Result<SparsePolicy, JsonError> {
-    let n = usize::from_json(v.field("n")?)?;
-    let Json::Arr(rows_json) = v.field("rows")? else {
-        return Err(JsonError::schema("sparse policy rows must be an array".into()));
-    };
-    if rows_json.len() != n {
-        return Err(JsonError::schema("sparse policy row count mismatch".into()));
-    }
-    let mut rows = Vec::with_capacity(n);
-    for row_json in rows_json {
-        let Json::Arr(entries) = row_json else {
-            return Err(JsonError::schema("sparse policy row must be an array".into()));
-        };
-        let mut row = Vec::with_capacity(entries.len());
-        for e in entries {
-            let Json::Arr(pair) = e else {
-                return Err(JsonError::schema("sparse policy entry must be [j, p]".into()));
-            };
-            if pair.len() != 2 {
-                return Err(JsonError::schema("sparse policy entry must be [j, p]".into()));
-            }
-            row.push((usize::from_json(&pair[0])?, f64::from_json(&pair[1])?));
-        }
-        rows.push(row);
-    }
-    Ok(SparsePolicy::from_rows(n, rows))
 }
 
 impl Algorithm for NetMax {
@@ -428,6 +277,7 @@ mod tests {
             "monitor should have produced at least one policy"
         );
         let p = algo.current_policy().expect("policy exists");
+        assert_eq!(p.len(), 4);
         for i in 0..4 {
             assert!((p.row_sum(i) - 1.0).abs() < 1e-6);
         }

@@ -54,7 +54,7 @@ proptest! {
             // Legitimate for extreme matrices; nothing further to check.
             return Ok(());
         };
-        let p = &res.policy;
+        let p = &res.policy.to_dense();
 
         // Row stochasticity + floors.
         for i in 0..m {

@@ -4,8 +4,8 @@
 //! power iteration (the `netmax-linalg` test oracle) per candidate, every
 //! candidate's policy kept — bit for bit in ρ, t̄, λ₂, the convergence
 //! estimate and the policy bytes. Pinned through
-//! `PolicyGenerator::generate_sparse` and `NetworkMonitor::round_sparse`
-//! (full and masked) on an 8×16 torus with heterogeneous link times,
+//! `PolicyGenerator::generate_sparse` and `NetworkMonitor::round` (full
+//! and masked) on an 8×16 torus with heterogeneous link times,
 //! across inner resolutions that fill lane groups partly, exactly and
 //! with a remainder.
 
@@ -13,12 +13,11 @@
 mod oracle;
 
 use netmax_core::monitor::EmaTimeTracker;
-use netmax_core::sparse_policy::{
-    rho_upper_bound_sparse, t_bar_bounds_sparse, SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL,
-};
+use netmax_core::policy::{rho_upper_bound, t_bar_bounds};
+use netmax_core::sparse_policy::{SPARSE_L2_MAX_ITERS, SPARSE_L2_TOL};
 use netmax_core::{
-    build_y_sparse, solve_policy_lp_rowwise, EdgeTimes, MonitorConfig, NetworkMonitor,
-    PolicyGenerator, PolicySearchConfig, SparsePolicy, SparsePolicyResult,
+    build_y_sparse, solve_policy_lp, EdgeTimes, MonitorConfig, NetworkMonitor, PolicyGenerator,
+    PolicyResult, PolicySearchConfig, SparsePolicy,
 };
 use netmax_net::Topology;
 use oracle::{rows_of, scalar_lambda2};
@@ -37,10 +36,10 @@ fn reference_sweep(
     cfg: &PolicySearchConfig,
     times: &EdgeTimes,
     topo: &Topology,
-) -> Option<SparsePolicyResult> {
-    let u_rho = rho_upper_bound_sparse(cfg.alpha, times, topo)?;
+) -> Option<PolicyResult> {
+    let u_rho = rho_upper_bound(cfg.alpha, times, topo)?;
     let delta_rho = u_rho / cfg.outer_k as f64;
-    let mut best: Option<SparsePolicyResult> = None;
+    let mut best: Option<PolicyResult> = None;
     for k in 1..=cfg.outer_k {
         let rho = k as f64 * delta_rho;
         if let Some(cand) = reference_inner(cfg, rho, times, topo) {
@@ -60,14 +59,14 @@ fn reference_inner(
     rho: f64,
     times: &EdgeTimes,
     topo: &Topology,
-) -> Option<SparsePolicyResult> {
+) -> Option<PolicyResult> {
     let m = topo.len();
-    let (lower, upper) = t_bar_bounds_sparse(cfg.alpha, rho, times, topo)?;
+    let (lower, upper) = t_bar_bounds(cfg.alpha, rho, times, topo)?;
     let delta = (upper - lower) / cfg.inner_r as f64;
-    let mut best: Option<SparsePolicyResult> = None;
+    let mut best: Option<PolicyResult> = None;
     for r in 1..=cfg.inner_r {
         let t_bar = lower + r as f64 * delta;
-        let Some(policy) = solve_policy_lp_rowwise(cfg.alpha, rho, t_bar, times, topo) else {
+        let Some(policy) = solve_policy_lp(cfg.alpha, rho, t_bar, times, topo) else {
             continue;
         };
         let y = build_y_sparse(&policy, topo, &vec![1.0 / m as f64; m], cfg.alpha, rho);
@@ -77,7 +76,7 @@ fn reference_inner(
         }
         let t_conv = t_bar * cfg.epsilon.ln() / lambda2.ln();
         if best.as_ref().is_none_or(|b| t_conv < b.t_convergence) {
-            best = Some(SparsePolicyResult {
+            best = Some(PolicyResult {
                 policy,
                 rho,
                 lambda2,
@@ -89,7 +88,7 @@ fn reference_inner(
     best
 }
 
-fn assert_same(label: &str, got: Option<&SparsePolicyResult>, want: Option<&SparsePolicyResult>) {
+fn assert_same(label: &str, got: Option<&PolicyResult>, want: Option<&PolicyResult>) {
     let (got, want) = match (got, want) {
         (Some(g), Some(w)) => (g, w),
         (None, None) => return,
@@ -100,7 +99,7 @@ fn assert_same(label: &str, got: Option<&SparsePolicyResult>, want: Option<&Spar
         ),
     };
     let scalars =
-        |r: &SparsePolicyResult| [r.rho, r.t_bar, r.lambda2, r.t_convergence].map(f64::to_bits);
+        |r: &PolicyResult| [r.rho, r.t_bar, r.lambda2, r.t_convergence].map(f64::to_bits);
     assert_eq!(
         scalars(got),
         scalars(want),
@@ -123,7 +122,7 @@ fn assert_same(label: &str, got: Option<&SparsePolicyResult>, want: Option<&Spar
 /// a slow band of rows plus a per-link spread.
 fn tracker_for(topo: &Topology) -> EmaTimeTracker {
     let n = topo.len();
-    let mut tracker = EmaTimeTracker::for_fleet(n, 0.5);
+    let mut tracker = EmaTimeTracker::new(n, 0.5);
     for i in 0..n {
         for &j in topo.neighbors(i) {
             let slow = if (i / 16) % 4 == 1 { 1.5 } else { 0.0 };
@@ -134,7 +133,7 @@ fn tracker_for(topo: &Topology) -> EmaTimeTracker {
 }
 
 #[test]
-fn generate_and_round_sparse_match_the_per_candidate_sweep() {
+fn generate_and_round_match_the_per_candidate_sweep() {
     let topo = Topology::torus(8, 16);
     let n = topo.len();
     let tracker = tracker_for(&topo);
@@ -161,9 +160,9 @@ fn generate_and_round_sparse_match_the_per_candidate_sweep() {
             beta: 0.5,
             search: cfg,
         });
-        let got = monitor.round_sparse(&tracker, &topo, ALPHA, &vec![true; n]);
+        let got = monitor.round(&tracker, &topo, ALPHA, &vec![true; n]);
         assert_same(
-            &format!("round_sparse, {label}"),
+            &format!("round, {label}"),
             got.as_ref(),
             want.as_ref(),
         );
@@ -171,7 +170,7 @@ fn generate_and_round_sparse_match_the_per_candidate_sweep() {
 }
 
 #[test]
-fn masked_round_sparse_matches_the_per_candidate_sweep() {
+fn masked_round_matches_the_per_candidate_sweep() {
     let topo = Topology::torus(8, 16);
     let n = topo.len();
     let tracker = tracker_for(&topo);
@@ -215,8 +214,8 @@ fn masked_round_sparse_matches_the_per_candidate_sweep() {
             Err(_) => vec![(i, 1.0)],
         })
         .collect();
-    let want = SparsePolicyResult {
-        policy: SparsePolicy::from_rows(n, rows),
+    let want = PolicyResult {
+        policy: SparsePolicy::from_rows(n, rows).unwrap(),
         ..compact
     };
 
@@ -225,6 +224,6 @@ fn masked_round_sparse_matches_the_per_candidate_sweep() {
         beta: 0.5,
         search: cfg,
     });
-    let got = monitor.round_sparse(&tracker, &topo, ALPHA, &active);
-    assert_same("masked round_sparse", got.as_ref(), Some(&want));
+    let got = monitor.round(&tracker, &topo, ALPHA, &active);
+    assert_same("masked round", got.as_ref(), Some(&want));
 }

@@ -107,6 +107,20 @@ impl SparsePattern {
         &self.cols[self.ptr[i]..self.ptr[i + 1]]
     }
 
+    /// The dense `n × n` matrix holding `vals` (in storage order) over
+    /// the pattern and exact zeros elsewhere.
+    pub fn densify(&self, vals: &[f64]) -> Matrix {
+        let n = self.order();
+        let mut m = Matrix::zeros(n, n);
+        let mut vals = vals.iter();
+        for i in 0..n {
+            for (&j, &v) in self.row(i).iter().zip(vals.by_ref()) {
+                m[(i, j)] = v;
+            }
+        }
+        m
+    }
+
     /// Row lengths in row order.
     fn row_lens(&self) -> impl Iterator<Item = usize> + '_ {
         self.ptr.iter().zip(self.ptr.iter().skip(1)).map(|(lo, hi)| hi - lo)
@@ -182,17 +196,9 @@ impl SparseSymmetric {
         Self { pattern, vals }
     }
 
-    /// Expands back to a dense matrix (small-n tests and oracles).
+    /// Expands back to a dense matrix.
     pub fn to_dense(&self) -> Matrix {
-        let n = self.len();
-        let mut m = Matrix::zeros(n, n);
-        let mut vals = self.vals.iter();
-        for i in 0..n {
-            for (&j, &v) in self.pattern.row(i).iter().zip(vals.by_ref()) {
-                m[(i, j)] = v;
-            }
-        }
-        m
+        self.pattern.densify(&self.vals)
     }
 
     fn is_symmetric(&self) -> bool {

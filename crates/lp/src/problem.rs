@@ -115,6 +115,27 @@ impl LpProblem {
         self
     }
 
+    /// Overwrites the coefficient of variable `var` in constraint row
+    /// `row`, which must already reference `var` — like
+    /// [`LpProblem::set_constraint_rhs`], it lets one constraint structure
+    /// be re-stamped for a family of LPs instead of rebuilt.
+    ///
+    /// # Panics
+    /// Panics if `row` is out of range, the row does not reference `var`,
+    /// or `coeff` is not finite.
+    pub fn set_constraint_coeff(&mut self, row: usize, var: usize, coeff: f64) -> &mut Self {
+        assert!(coeff.is_finite(), "set_constraint_coeff: coefficient must be finite");
+        let entry = self
+            .constraints
+            .get_mut(row)
+            .and_then(|c| c.coeffs.iter_mut().find(|(v, _)| *v == var));
+        assert!(entry.is_some(), "set_constraint_coeff: row {row} does not reference {var}");
+        if let Some((_, c)) = entry {
+            *c = coeff;
+        }
+        self
+    }
+
     /// The objective vector (minimization).
     pub fn objective(&self) -> &[f64] {
         &self.objective
@@ -179,6 +200,22 @@ mod tests {
         assert_eq!(p.objective(), &[1.0, 0.0, -2.0]);
         assert_eq!(p.lower_bounds(), &[0.0, 0.5, 0.0]);
         assert_eq!(p.constraints().len(), 2);
+    }
+
+    #[test]
+    fn restamped_coefficients_replace_the_old_ones() {
+        let mut p = LpProblem::new(2);
+        p.add_constraint(vec![(0, 1.0), (1, 2.0)], Relation::Le, 4.0);
+        p.set_constraint_coeff(0, 1, 3.0);
+        assert_eq!(p.constraints()[0].coeffs, vec![(0, 1.0), (1, 3.0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not reference")]
+    fn restamping_an_absent_coefficient_panics() {
+        let mut p = LpProblem::new(2);
+        p.add_constraint(vec![(0, 1.0)], Relation::Le, 4.0);
+        p.set_constraint_coeff(0, 1, 3.0);
     }
 
     #[test]

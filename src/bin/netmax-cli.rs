@@ -226,7 +226,7 @@ fn policy(o: &Options) -> ExitCode {
                 audit.expected_iteration_s, audit.uniform_iteration_s, audit.iteration_speedup());
             println!("  slow-link mass = {:.4}", audit.slow_link_mass);
             println!("  bottleneck cut = {:?} | {:?}", audit.bottleneck.0, audit.bottleneck.1);
-            println!("{:?}", res.policy);
+            println!("{:?}", res.policy.to_dense());
             ExitCode::SUCCESS
         }
         None => {

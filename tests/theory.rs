@@ -38,7 +38,7 @@ fn generated_policies_satisfy_lemmas_1_2_3() {
         let gen = PolicyGenerator::new(PolicySearchConfig::new(0.1));
         let res = gen.generate(&times, &topo).expect("feasible at paper scales");
         let p_node = vec![1.0 / m as f64; m];
-        let y = build_y(&res.policy, &topo, &p_node, 0.1, res.rho);
+        let y = build_y(&res.policy.to_dense(), &topo, &p_node, 0.1, res.rho);
 
         assert!(is_symmetric(&y, 1e-8), "M={m}: Lemma 1 symmetry");
         assert!(is_nonnegative(&y, 1e-9), "M={m}: Lemma 2");
@@ -62,7 +62,7 @@ fn consensus_contraction_matches_lambda2_bound() {
     let alpha = 0.1;
     let gen = PolicyGenerator::new(PolicySearchConfig::new(alpha));
     let res = gen.generate(&times, &topo).expect("feasible");
-    let p = &res.policy;
+    let p = &res.policy.to_dense();
     let rho = res.rho;
 
     // Deviation functional: ‖x − x̄·1‖².
@@ -146,7 +146,7 @@ fn epsilon_invariance_of_argmin() {
     };
     let a = run(0.01);
     let b = run(0.25);
-    assert_eq!(a.policy.as_slice(), b.policy.as_slice());
+    assert_eq!(a.policy, b.policy);
     assert_eq!(a.rho, b.rho);
 }
 
